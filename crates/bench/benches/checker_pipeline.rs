@@ -164,10 +164,11 @@ fn main() {
 
     let json = format!(
         "{{\"bench\":\"checker_pipeline\",\"scenario\":\"randtree_under_churn\",\"host_cores\":{cores},\
-         \"neighborhood_nodes\":{node_count},\"rounds\":{rounds},\"budget_states\":{budget},\
+         \"fast\":{},\"neighborhood_nodes\":{node_count},\"rounds\":{rounds},\"budget_states\":{budget},\
          \"submission\":{{\"full_clone_bytes\":{full},\"diff_bytes\":{diff},\
          \"unchanged_slots\":{},\"patched_slots\":{},\"full_slots\":{}}},\
          \"sharded\":[{}]}}",
+        fast_mode(),
         enc.stats.unchanged_slots,
         enc.stats.patched_slots,
         enc.stats.full_slots,

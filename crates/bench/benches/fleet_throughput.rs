@@ -390,7 +390,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\"bench\":\"fleet_throughput\",\"scenario\":\"randtree+paxos+bullet_sharded\",\
-         \"host_cores\":{cores},\"sim_seconds\":{horizon_s},\"budget_states\":{budget},\
+         \"host_cores\":{cores},\"fast\":{},\"sim_seconds\":{horizon_s},\"budget_states\":{budget},\
          \"fleet_steps\":{},\"elapsed_s\":{wall:.6},\"steps_per_sec\":{steps_per_sec:.1},\
          \"mc_runs\":{mc_runs},\"rounds_per_sec\":{rounds_per_sec:.3},\
          \"predictions\":{},\"predictions_per_sec\":{preds_per_sec:.4},\
@@ -399,6 +399,7 @@ fn main() {
          \"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4},\
          \"cache_determinism_ok\":true,\
          \"members\":[{}],\"repeated_workload\":[{rw_randtree},{rw_paxos}]}}",
+        fast_mode(),
         stats.fleet_steps,
         stats.predictions(),
         stats.filters_installed(),

@@ -1,11 +1,12 @@
 //! Env-driven knobs for the CI determinism matrix.
 //!
-//! `tests/parallel_equivalence.rs` and `tests/checker_pool_equivalence.rs`
-//! both read these; keeping the parsing (and the defaults the matrix legs
-//! rely on) in one place stops the two test binaries from drifting apart.
+//! The checker-pool, prediction-cache, fleet and search-golden suites
+//! read these; keeping the parsing (and the defaults the matrix legs rely
+//! on) in one place stops the test binaries from drifting apart.
 
-/// Worker counts under test: `CB_EQ_WORKERS=2` or `CB_EQ_WORKERS=1,2,4`
-/// (default `1,4`).
+/// Shared `WorkerPool` thread counts under test (a fleet's
+/// `pool_threads`): `CB_EQ_WORKERS=2` or `CB_EQ_WORKERS=1,2,4` (default
+/// `1,4`).
 pub fn workers() -> Vec<usize> {
     match std::env::var("CB_EQ_WORKERS") {
         Ok(v) => v
@@ -13,20 +14,6 @@ pub fn workers() -> Vec<usize> {
             .map(|w| w.trim().parse().expect("CB_EQ_WORKERS: usize list"))
             .collect(),
         Err(_) => vec![1, 4],
-    }
-}
-
-/// Merge-shard counts under test: `CB_MERGE_SHARDS=4` or
-/// `CB_MERGE_SHARDS=1,2,4` (default `1,2`). Note the parallel engine
-/// itself also reads this env var, but as a single integer only — the
-/// comma form is the test matrix's.
-pub fn merge_shards() -> Vec<usize> {
-    match std::env::var("CB_MERGE_SHARDS") {
-        Ok(v) => v
-            .split(',')
-            .map(|s| s.trim().parse().expect("CB_MERGE_SHARDS: usize list"))
-            .collect(),
-        Err(_) => vec![1, 2],
     }
 }
 
@@ -51,9 +38,6 @@ mod tests {
         }
         if std::env::var("CB_EQ_SEED").is_err() {
             assert_eq!(super::seed(), 1213);
-        }
-        if std::env::var("CB_MERGE_SHARDS").is_err() {
-            assert_eq!(super::merge_shards(), vec![1, 2]);
         }
     }
 }

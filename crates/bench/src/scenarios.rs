@@ -58,8 +58,9 @@ pub fn randtree_fig2(bugs: RandTreeBugs) -> (RandTree, GlobalState<RandTree>) {
 /// simulator: joins, resets, rejoins, with in-flight traffic at the
 /// moment of capture. Different seeds yield genuinely different live
 /// states (topology, in-flight bags, timer phases) — the determinism
-/// matrix re-proves parallel/sequential equivalence from several of them
-/// rather than from one hand-built state.
+/// matrix re-checks the search's golden fingerprints and the checker
+/// backends' equivalence from several of them rather than from one
+/// hand-built state.
 pub fn randtree_churned(seed: u64, bugs: RandTreeBugs) -> (RandTree, GlobalState<RandTree>) {
     use cb_model::SimDuration;
     let nodes: Vec<NodeId> = (0..8).map(NodeId).collect();
@@ -196,7 +197,7 @@ pub fn paxos_round1(bugs: PaxosBugs) -> (Paxos, GlobalState<Paxos>) {
 /// messages delivered. Consequence prediction sees `AtMostOneChosen`
 /// break within a small budget from here, and the counterexample crosses
 /// a *commuting* delivery pair — the case that stresses canonical-path
-/// tie-breaking in the parallel engine.
+/// tie-breaking (the first BFS-order path must win).
 pub fn paxos_near_violation(bugs: PaxosBugs) -> (Paxos, GlobalState<Paxos>) {
     let (proto, mut gs) = paxos_round1(bugs);
     apply_event(

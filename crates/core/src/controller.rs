@@ -7,8 +7,7 @@
 //! installed filters, the immediate safety check, statistics, and the
 //! `Hook` wiring — and decides where prediction rounds run: inline
 //! ([`CheckerMode::Synchronous`]) or on the background sharded
-//! `crate::service::CheckerPool` ([`CheckerMode::Background`] /
-//! [`CheckerMode::Sharded`]), in which case the simulated system keeps
+//! `crate::service::CheckerPool` ([`CheckerMode::Sharded`]), in which case the simulated system keeps
 //! executing while the checker works, submissions are diff-shipped
 //! instead of cloned, and the checker latency is measured rather than
 //! modeled.
@@ -47,9 +46,8 @@ pub struct ControllerConfig {
     pub mode: Mode,
     /// Budget and event options for each consequence-prediction run.
     pub search: SearchConfig,
-    /// Which engine runs prediction: [`Engine::Sequential`] or the
-    /// parallel work-stealing engine ([`Engine::Parallel`]) — both produce
-    /// identical predictions; parallel produces them sooner.
+    /// Which engine runs prediction: the consequence-prediction BFS
+    /// ([`Engine::Sequential`]) or the random-walk baseline.
     pub engine: Engine,
     /// Where rounds execute: inline (blocking, deterministic) or on the
     /// background checker service.
@@ -59,7 +57,7 @@ pub struct ControllerConfig {
     /// time T activates at T + `mc_latency` ("After running the model
     /// checker for 6 seconds, C successfully predicts...", §5.4.2). The
     /// immediate safety check covers the gap. In
-    /// [`CheckerMode::Background`] the latency is whatever the checker
+    /// [`CheckerMode::Sharded`] the latency is whatever the checker
     /// thread actually takes (recorded in
     /// [`ControllerStats::measured_mc_latencies`]).
     pub mc_latency: SimDuration,
@@ -216,20 +214,13 @@ pub struct Controller<P: Protocol> {
 
 impl<P: Protocol> Controller<P> {
     /// Creates a controller checking `props` over `protocol`. With
-    /// [`CheckerMode::Background`] or [`CheckerMode::Sharded`] this spawns
-    /// the checker shard threads. Every independent search the controller
-    /// runs — the main prediction, known-path replays, filter-safety
-    /// re-checks, across every shard — shares one [`WorkerPool`].
+    /// [`CheckerMode::Sharded`] this spawns the checker shard threads.
+    /// Every independent search the controller runs — the main
+    /// prediction, known-path replays, filter-safety re-checks, across
+    /// every shard — shares one [`WorkerPool`]; its one thread lets
+    /// replays overlap the main search.
     pub fn new(protocol: P, props: PropertySet<P>, config: ControllerConfig) -> Self {
-        // The scope owner always participates, so a parallel engine with
-        // w workers needs w-1 pool threads; keep at least one so replays
-        // overlap the main search even under the sequential engine.
-        let engine_workers = match &config.engine {
-            Engine::Parallel(p) => p.workers.max(1),
-            _ => 1,
-        };
-        let pool = WorkerPool::new(engine_workers.max(2) - 1);
-        Self::with_runtime(protocol, props, config, pool, None)
+        Self::with_runtime(protocol, props, config, WorkerPool::new(1), None)
     }
 
     /// Creates a controller on externally owned checking resources: every
@@ -653,7 +644,6 @@ impl<P: Protocol> Hook<P> for Controller<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cb_mc::ParallelConfig;
     use cb_model::ExploreOptions;
     use cb_protocols::randtree::{self, Action as RtAction, Msg as RtMsg, RandTree, RandTreeBugs};
     use cb_runtime::{NoHook, Scenario, SimConfig, Simulation};
@@ -764,40 +754,37 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_predicts_the_same_violation() {
+    fn pool_width_predicts_the_same_violation() {
         let (proto, gs) = fig2_snapshot(RandTreeBugs::only("R1"));
-        let seq = {
-            let mut ctl = Controller::new(
+        // Rounds after the first replay the remembered error path on the
+        // pool while the main search runs; the pool's width may not
+        // change what gets predicted.
+        let run = |pool: WorkerPool| {
+            let mut ctl = Controller::with_runtime(
                 proto.clone(),
                 randtree::properties::all(),
                 steering_config(),
+                pool,
+                None,
             );
-            ctl.run_round(SimTime::ZERO, NodeId(1), &gs);
-            ctl.reports.pop().expect("prediction")
-        };
-        let par = {
-            let mut ctl = Controller::new(
-                proto,
-                randtree::properties::all(),
-                ControllerConfig {
-                    // Sharded merge plus the compacted, spill-budgeted
-                    // explored set, driven through the controller plumbing:
-                    // none of it may change what gets predicted.
-                    engine: Engine::Parallel(ParallelConfig {
-                        workers: 4,
-                        merge_shards: 2,
-                        compact_explored: true,
-                        explored_spill_bytes: Some(1 << 12),
-                    }),
-                    ..steering_config()
-                },
+            for node in [1, 9, 13] {
+                ctl.run_round(SimTime::ZERO, NodeId(node), &gs);
+            }
+            assert!(
+                ctl.stats.replays_rediscovered > 0,
+                "later rounds replayed the known path"
             );
-            ctl.run_round(SimTime::ZERO, NodeId(1), &gs);
-            ctl.reports.pop().expect("prediction")
+            ctl.reports
         };
-        assert_eq!(seq.violation, par.violation);
-        assert_eq!(seq.scenario, par.scenario, "identical canonical path");
-        assert_eq!(seq.depth, par.depth);
+        let seq = run(WorkerPool::new(1));
+        let par = run(WorkerPool::new(4));
+        assert!(!seq.is_empty(), "prediction");
+        assert_eq!(seq.len(), par.len());
+        for (seq, par) in seq.iter().zip(&par) {
+            assert_eq!(seq.violation, par.violation);
+            assert_eq!(seq.scenario, par.scenario, "identical canonical path");
+            assert_eq!(seq.depth, par.depth);
+        }
     }
 
     #[test]
@@ -904,7 +891,7 @@ mod tests {
             proto,
             randtree::properties::all(),
             ControllerConfig {
-                checker: CheckerMode::Background,
+                checker: CheckerMode::Sharded { shards: 1 },
                 ..steering_config()
             },
         );

@@ -10,7 +10,7 @@
 //! by a `PredictionJob`. The replays and the main search are independent
 //! of each other, so they run *concurrently* on a shared
 //! [`cb_mc::WorkerPool`]; the safety re-check (which needs the main
-//! search's result) runs on the same pool afterwards. The identical code
+//! search's result) runs afterwards on the round's thread. The identical code
 //! runs either inline on the caller's thread (synchronous mode,
 //! deterministic, used by tests and modeled-latency experiments) or inside
 //! the `CheckerPool`.
@@ -19,11 +19,10 @@
 //! node *n* always execute on shard `n mod shards`, which keeps each
 //! node's remembered error paths (`known_paths`) on the shard that will
 //! replay them while letting snapshots from *different* nodes check in
-//! parallel. One shard reproduces the old single-thread background
-//! service ([`CheckerMode::Background`] is exactly that special case).
-//! All shards draw their search parallelism from one shared worker pool,
-//! so a shard running a big prediction borrows the workers an idle shard
-//! is not using.
+//! parallel. One shard is the single-thread background service of §4.
+//! All shards run their independent searches on one shared worker pool,
+//! so a shard overlapping its replays with a big prediction borrows the
+//! workers an idle shard is not using.
 //!
 //! The threads themselves live in a [`CheckerHost`] — a protocol-agnostic
 //! set of lanes that *multiple* controllers (over different protocol
@@ -81,16 +80,14 @@ pub enum CheckerMode {
     /// experiments.
     #[default]
     Synchronous,
-    /// Rounds run on a background `CheckerPool` with a single shard —
-    /// the live system keeps stepping, results are drained from the
-    /// controller's hook entry points, and filters activate when their
-    /// round actually completes, so `mc_latency` becomes a measurement
-    /// instead of a model.
-    Background,
     /// Rounds run on a background `CheckerPool` with `shards` shard
-    /// threads: rounds are sharded by node (per-node `known_paths`
-    /// affinity), so snapshots from different nodes check concurrently.
-    /// `Sharded { shards: 1 }` ≡ [`CheckerMode::Background`].
+    /// threads — the live system keeps stepping, results are drained from
+    /// the controller's hook entry points, and filters activate when their
+    /// round actually completes, so `mc_latency` becomes a measurement
+    /// instead of a model. Rounds are sharded by node (per-node
+    /// `known_paths` affinity), so snapshots from different nodes check
+    /// concurrently; `Sharded { shards: 1 }` is the single background
+    /// checker thread of §4.
     ///
     /// Affinity granularity, by design: each shard remembers only the
     /// error paths its *own* nodes' rounds discovered, so a node's
@@ -111,7 +108,6 @@ impl CheckerMode {
     pub(crate) fn shard_count(self) -> usize {
         match self {
             CheckerMode::Synchronous => 0,
-            CheckerMode::Background => 1,
             CheckerMode::Sharded { shards } => shards.max(1),
         }
     }
@@ -196,7 +192,7 @@ pub(crate) struct Predictor<P: Protocol> {
     /// The safety-re-check config minus the candidate filter, likewise
     /// derived once.
     safety_base: SearchConfig,
-    /// The shared pool all of this round's independent searches run on.
+    /// The shared pool this round's known-path replays run on.
     pool: WorkerPool,
     /// Remembered error paths, each keyed by its deterministic path hash
     /// (§3.3 replays). The hash both dedups — an error path rediscovered
@@ -412,7 +408,7 @@ impl<P: Protocol> Predictor<P> {
     /// replays) and stage 2 (consequence prediction) are independent
     /// searches and execute concurrently on the shared pool; stage 3 (the
     /// filter-safety re-check) consumes stage 2's result and follows on
-    /// the same pool.
+    /// the round's thread.
     fn compute_round(&self, job: &PredictionJob, start: &GlobalState<P>) -> CachedRound<P> {
         // Stages 1 ∥ 2. The replays land in per-path slots so their
         // results are consumed in deterministic (known_paths) order no
@@ -441,8 +437,7 @@ impl<P: Protocol> Predictor<P> {
                 });
             }
             // The main consequence-prediction run (Fig. 8) on the calling
-            // thread, which also lends a hand to queued pool work via the
-            // engine's own scopes.
+            // thread, which then helps drain any replays still queued.
             let _span = cb_obs::span_id("checker.predict", "checker", job.tag);
             let t = cb_obs::metrics::enabled().then(Instant::now);
             let out = this.stage_predict(start);
@@ -474,7 +469,7 @@ impl<P: Protocol> Predictor<P> {
         let mut filter = None;
         if let Some(found) = &found {
             if job.steering {
-                // Stage 3: the safety re-check, on the same shared pool.
+                // Stage 3: the safety re-check.
                 let _span = cb_obs::span_id("checker.safety", "checker", job.tag);
                 filter = self
                     .derive_filter(job.node, start, &found.path)
@@ -492,14 +487,10 @@ impl<P: Protocol> Predictor<P> {
     }
 
     /// Stage 2: the main consequence-prediction search (Fig. 8), on
-    /// whichever engine the controller was configured with, drawing
-    /// parallel workers from the shared pool.
+    /// whichever engine the controller was configured with.
     fn stage_predict(&self, start: &GlobalState<P>) -> cb_mc::SearchOutcome<P> {
-        Searcher::new(&self.protocol, &self.props, self.predict_cfg.clone()).search_on(
-            start,
-            &self.config.engine,
-            Some(&self.pool),
-        )
+        Searcher::new(&self.protocol, &self.props, self.predict_cfg.clone())
+            .search(start, &self.config.engine)
     }
 
     fn remember_path(&mut self, found: &FoundViolation<P>) {
@@ -579,11 +570,8 @@ impl<P: Protocol> Predictor<P> {
             filters: FilterSet::from_iter([filter.clone()]),
             ..self.safety_base.clone()
         };
-        let outcome = Searcher::new(&self.protocol, &self.props, cfg).search_on(
-            start,
-            &self.config.engine,
-            Some(&self.pool),
-        );
+        let outcome =
+            Searcher::new(&self.protocol, &self.props, cfg).search(start, &self.config.engine);
         match outcome.first() {
             None => true,
             Some(found) => found.depth >= unfiltered_depth,
@@ -729,7 +717,7 @@ pub(crate) struct CheckerPool<P: Protocol> {
 
 impl<P: Protocol> CheckerPool<P> {
     /// Creates `shards` checker shards, each with its own `Predictor`
-    /// sharing `pool` for search parallelism, running on `host` (or on a
+    /// sharing `pool` for replays, running on `host` (or on a
     /// freshly spawned private host when `None`). All predictors memoize
     /// into the host's shared [`PredictionCache`].
     pub(crate) fn spawn(
@@ -1053,8 +1041,8 @@ impl<P: Protocol> WireChecker<P> {
     /// Spawns the checker backend: `config.checker` decides the shard
     /// count ([`CheckerMode::Synchronous`] is promoted to one background
     /// shard — a wire checker is background by construction), `host`
-    /// optionally shares lanes with other checkers, and search parallelism
-    /// comes from `pool`.
+    /// optionally shares lanes with other checkers, and known-path replays
+    /// run on `pool`.
     pub fn new(
         protocol: P,
         props: PropertySet<P>,

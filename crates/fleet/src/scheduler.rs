@@ -17,7 +17,7 @@
 //! produces a byte-identical [`Fleet::trace`] and
 //! [`FleetStats::deterministic_json`] regardless of
 //!
-//! * the parallel-engine worker count of any member's searches,
+//! * the shared worker pool's thread count,
 //! * the number of checker lanes/shards, and
 //! * host speed or scheduling.
 //!

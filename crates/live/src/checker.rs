@@ -125,17 +125,7 @@ impl<P: Protocol> CheckerSrv<P> {
         listener: TcpListener,
         drain_timeout: Duration,
     ) -> Self {
-        let pool_workers = match &config.engine {
-            cb_mc::Engine::Parallel(p) => p.workers.max(2) - 1,
-            _ => 1,
-        };
-        let checker = WireChecker::new(
-            protocol,
-            props,
-            config,
-            cb_mc::WorkerPool::new(pool_workers),
-            None,
-        );
+        let checker = WireChecker::new(protocol, props, config, cb_mc::WorkerPool::new(1), None);
         M_SUBMITS.touch();
         M_ROUNDS.touch();
         M_PREDICTIONS.touch();

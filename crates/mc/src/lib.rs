@@ -22,22 +22,20 @@
 //! * [`SearchOutcome`] / [`FoundViolation`] — violations reported "in the
 //!   form of a sequence of events that leads to an erroneous state" (§3),
 //!   reconstructed from a parent-pointer arena;
-//! * [`SearchStats`] — visited/enqueued counts, per-depth tallies, the
-//!   memory accounting behind Fig. 15/16, and the parallel coordinator's
-//!   `merge_busy`/`merge_wait` split;
+//! * [`SearchStats`] — visited/enqueued counts, per-depth tallies, and the
+//!   memory accounting behind Fig. 15/16;
 //! * [`replay_path`] — re-checks a previously discovered error path against
 //!   a *new* snapshot by replaying only timer/application events and
 //!   following message causality (§4 "Replaying Past Erroneous Paths");
 //! * [`EventFilter`] — the runtime-installable description of events to
 //!   block, shared with the `crystalball` controller;
-//! * [`WorkerPool`] — a shared, scoped worker pool: the parallel engine's
-//!   phases, known-path replays, filter-safety re-checks, and concurrent
-//!   checker shards all multiplex their independent work over one set of
-//!   threads ([`Searcher::search_on`] / [`Searcher::run_parallel_pooled`]).
+//! * [`WorkerPool`] — a shared, scoped worker pool: known-path replays,
+//!   the main prediction search, filter-safety re-checks, and concurrent
+//!   checker shards multiplex their independent searches over one set of
+//!   threads. Every search is single-threaded; parallelism comes from
+//!   running rounds and their independent stages side by side.
 
 pub mod filter;
-pub mod frontier;
-pub mod parallel;
 pub mod pool;
 pub mod replay;
 pub mod report;
@@ -45,12 +43,6 @@ pub mod search;
 pub mod stats;
 
 pub use filter::{EventFilter, FilterSet};
-pub use frontier::{
-    Admission, ExploredBatch, FifoFrontier, Frontier, FrontierItem, LockFreeExplored, StealQueues,
-};
-pub use parallel::{
-    find_consequences_parallel, find_errors_parallel, ParallelConfig, MAX_MERGE_SHARDS,
-};
 pub use pool::{PoolScope, WorkerPool};
 pub use replay::{replay_path, ReplayOutcome};
 pub use report::{FoundViolation, PathStep, SearchOutcome, StopReason};

@@ -2,13 +2,12 @@
 //!
 //! One CrystalBall checking round contains several *independent* searches:
 //! the main consequence-prediction run, the known-path replays, and the
-//! filter-safety re-check. Historically each ran back-to-back, and the
-//! parallel engine additionally spawned fresh threads for every BFS level.
-//! [`WorkerPool`] fixes both: it is a long-lived pool of worker threads
-//! that any number of concurrent searches submit closures to — the
-//! parallel engine's check/expand phases, a `Predictor`'s replay batch,
-//! and a sibling checker shard's safety re-check all draw from the same
-//! workers, so one busy search soaks up capacity another is not using.
+//! filter-safety re-check. [`WorkerPool`] is a long-lived pool of worker
+//! threads that any number of concurrent rounds submit closures to — a
+//! `Predictor`'s replay batch overlapping its main search, and sibling
+//! checker shards' rounds, all draw from the same workers, so one busy
+//! round soaks up capacity another is not using. Each search itself is
+//! sequential; the parallelism is between searches.
 //!
 //! # Scoped execution
 //!
@@ -25,18 +24,10 @@
 //! of its *own* batch (never another scope's — running foreign work
 //! would block the owner on a stranger's task after its own batch had
 //! drained). Helping makes nested scopes safe: a pool task that opens
-//! its own scope (the parallel engine running *inside* a prediction
-//! round) executes its subtasks itself if no worker is free, so
+//! its own scope executes its subtasks itself if no worker is free, so
 //! progress never depends on pool capacity — a pool may even have zero
 //! worker threads, in which case every scope degrades to sequential
 //! execution on its owner.
-//!
-//! The queue's FIFO order is a *contract*, not an implementation detail:
-//! the parallel engine's sharded merge spawns tasks that block on the
-//! output of earlier-spawned tasks, and relies on every spawn-order
-//! predecessor having been popped (hence running or finished) before such
-//! a task starts. Replacing the queue with a LIFO or randomized discipline
-//! would deadlock it.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -217,34 +208,6 @@ impl<'env> PoolScope<'_, 'env> {
             });
         }
         self.shared.cv.notify_all();
-    }
-
-    /// Pops the oldest still-queued task *of this scope's batch* and runs
-    /// it on the calling thread; returns false when none of the batch's
-    /// tasks are queued (they are running elsewhere or already done).
-    ///
-    /// This is the streamed merge's starvation valve: a coordinator that
-    /// has nothing ready to merge executes its own pending expansion
-    /// instead of sleeping, so — as with the scope-exit work-helping —
-    /// progress never depends on pool capacity, including a zero-thread
-    /// pool or a pool whose every worker is itself a blocked coordinator.
-    /// Tasks were spawned in submission order and the pool queue is FIFO,
-    /// so the popped task is the lowest-indexed remaining one — exactly
-    /// the task an order-preserving consumer is waiting for.
-    pub fn help_one(&self) -> bool {
-        let job = {
-            let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-            let mine = q
-                .jobs
-                .iter()
-                .position(|j| Arc::ptr_eq(&j.batch, &self.batch));
-            match mine {
-                Some(ix) => q.jobs.remove(ix).expect("indexed job"),
-                None => return false,
-            }
-        };
-        run_job(self.shared, job);
-        true
     }
 }
 
@@ -490,27 +453,6 @@ mod tests {
         );
         gate.store(1, Ordering::Relaxed);
         slow.join().unwrap();
-    }
-
-    #[test]
-    fn help_one_runs_own_queued_tasks_in_fifo_order() {
-        // Zero workers: nothing runs unless the owner helps.
-        let pool = WorkerPool::new(0);
-        let order = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for i in 0..4 {
-                let order = &order;
-                s.spawn(move || order.lock().unwrap().push(i));
-            }
-            assert!(s.help_one());
-            assert_eq!(*order.lock().unwrap(), vec![0]);
-            assert!(s.help_one());
-            assert_eq!(*order.lock().unwrap(), vec![0, 1]);
-            // The remaining two run at scope exit via the wait guard.
-        });
-        assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3]);
-        // With nothing queued, help_one declines rather than blocking.
-        pool.scope(|s| assert!(!s.help_one()));
     }
 
     #[test]

@@ -1,35 +1,30 @@
 //! The search engines: exhaustive BFS (Fig. 5), consequence prediction
-//! (Fig. 8), the random-walk baseline, and the parallel work-stealing
-//! engine (`crate::parallel`).
+//! (Fig. 8), and the random-walk baseline.
 //!
-//! Both BFS variants share one loop; the *only* semantic difference is the
-//! `localExplored` test, exactly as in the paper: "if we omitted the test in
-//! Line 16, the algorithm would reduce precisely to Figure 5" (§3.2). That
-//! one-line difference survives every engine: the sequential loop gates
-//! per-node expansion through a `localExplored` claim, and the parallel
-//! engine performs the same claims in the same canonical order during its
-//! per-level sequential phase (see `crate::parallel` for the phase
-//! breakdown), so Fig. 5 vs Fig. 8 remains exactly the presence or absence
-//! of that gate.
+//! Both BFS variants share one FIFO loop ([`Searcher::run`]); the *only*
+//! semantic difference is the `localExplored` test, exactly as in the
+//! paper: "if we omitted the test in Line 16, the algorithm would reduce
+//! precisely to Figure 5" (§3.2). The loop gates per-node expansion
+//! through a `localExplored` claim, so Fig. 5 vs Fig. 8 is exactly the
+//! presence or absence of that gate.
+//!
+//! Each search runs on one thread. The checker's parallelism sits one
+//! level up: a round's known-path replays overlap its main search, and
+//! checker shards run rounds side by side, all on a shared
+//! [`crate::WorkerPool`].
 //!
 //! Deviations from the pseudocode, called out for reviewers:
 //!
 //! * `explored` hashes are recorded at **enqueue** time rather than dequeue
 //!   time, so the frontier never holds duplicates (Fig. 5 as written may
 //!   re-enqueue a state reached along two paths before either is popped;
-//!   semantics are unchanged, memory is strictly better). The sequential
-//!   engine keeps one `HashSet`; the parallel engine uses the lock-free
-//!   concurrent table ([`crate::LockFreeExplored`]) with the same
-//!   enqueue-time discipline — workers race successor hashes in with one
-//!   CAS each, exactly one wins, and a streamed canonical merge assigns
-//!   each newly admitted state its canonical (first-in-BFS-order) parent,
-//!   so the recorded paths match the sequential engine's bit for bit.
+//!   semantics are unchanged, memory is strictly better).
 //! * States that violate a property are reported but **not expanded**:
 //!   CrystalBall consumes the shallowest path to a violation (for steering
 //!   and replay), and spending the runtime budget on post-violation suffixes
 //!   would only delay finding distinct violations.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::mem::size_of;
 use std::time::{Duration, Instant};
 
@@ -38,15 +33,9 @@ use cb_model::{
 };
 
 use crate::filter::FilterSet;
-use crate::frontier::{FifoFrontier, Frontier, FrontierItem};
-use crate::parallel::ParallelConfig;
 use crate::report::{FoundViolation, PathStep, SearchOutcome, StopReason};
 use crate::stats::SearchStats;
 
-// The same scrapeable families the parallel engine records (the registry
-// deduplicates by name, so both engines feed one core): live deployments
-// default to the sequential engine, and its searches must show up on the
-// metrics plane too.
 static M_STATES_VISITED: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new(
     "cb_mc_states_visited_total",
     "states visited across all searches",
@@ -134,12 +123,9 @@ impl SearchConfig {
 /// Which exploration engine drives a search run.
 #[derive(Clone, Debug, Default)]
 pub enum Engine {
-    /// The single-threaded FIFO loop of Fig. 5 / Fig. 8.
+    /// The FIFO loop of Fig. 5 / Fig. 8.
     #[default]
     Sequential,
-    /// The level-synchronous work-stealing engine: same violation set and
-    /// canonical paths, expansion fanned out over a worker pool.
-    Parallel(ParallelConfig),
     /// The MaceMC random-walk baseline (§5.3).
     RandomWalk {
         /// PRNG seed (runs replay bit-identically per seed).
@@ -150,23 +136,33 @@ pub enum Engine {
 }
 
 /// Parent-pointer record for path reconstruction.
-pub(crate) struct ArenaRec<P: Protocol> {
-    pub(crate) parent: Option<usize>,
-    pub(crate) event: Event<P>,
-    pub(crate) step: TraceStep,
+struct ArenaRec<P: Protocol> {
+    parent: Option<usize>,
+    event: Event<P>,
+    step: TraceStep,
+}
+
+/// One reached-but-unexpanded state, queued on the frontier.
+struct FrontierItem<P: Protocol> {
+    /// The reached global state.
+    state: GlobalState<P>,
+    /// Arena index of the edge that reached it (`None` for the start state).
+    rec: Option<usize>,
+    /// Path length from the start state.
+    depth: usize,
 }
 
 /// A reusable search driver binding a protocol, its safety properties, and
 /// a configuration.
 pub struct Searcher<'a, P: Protocol> {
-    pub(crate) protocol: &'a P,
-    pub(crate) props: &'a PropertySet<P>,
+    protocol: &'a P,
+    props: &'a PropertySet<P>,
     /// The active configuration (mutable between runs).
     pub config: SearchConfig,
 }
 
-/// Enumerates the events to explore from `state` under `config`, in the
-/// canonical deterministic order every engine shares: in-flight items by
+/// Enumerates the events to explore from `state` under `config`, in a
+/// canonical deterministic order: in-flight items by
 /// index (delivery before drop), then nodes in id order (actions in
 /// `enabled_actions` order, then resets, then peer errors).
 ///
@@ -174,7 +170,7 @@ pub struct Searcher<'a, P: Protocol> {
 /// false for a node, that node's *entire* per-node block (actions, resets,
 /// peer errors) is skipped. Exhaustive search passes a constant-true gate.
 /// Events suppressed by installed filters are tallied into `filtered`.
-pub(crate) fn enumerate_gated<P: Protocol>(
+fn enumerate_gated<P: Protocol>(
     protocol: &P,
     config: &SearchConfig,
     state: &GlobalState<P>,
@@ -245,34 +241,15 @@ impl<'a, P: Protocol> Searcher<'a, P> {
         }
     }
 
-    /// Runs the search with the given engine. All engines agree on the
-    /// violation set and on the canonical (shallowest, path-lexicographic
-    /// first) counterexample paths, except the random walk, which is a
-    /// sampling baseline.
+    /// Runs the search with the given engine: the BFS loop reports the
+    /// shallowest, path-lexicographic first counterexample paths; the
+    /// random walk is a sampling baseline.
     pub fn search(&self, start: &GlobalState<P>, engine: &Engine) -> SearchOutcome<P> {
         match engine {
             Engine::Sequential => self.run(start),
-            Engine::Parallel(par) => self.run_parallel(start, par),
             Engine::RandomWalk { seed, max_walk_len } => {
                 self.random_walk(start, *seed, *max_walk_len)
             }
-        }
-    }
-
-    /// [`Searcher::search`], except that a parallel engine draws its
-    /// workers from the shared `pool` instead of spawning its own — the
-    /// entry point for callers running several independent searches
-    /// (prediction, replays, safety re-checks, checker shards) over one
-    /// set of threads. With `None`, behaves exactly like [`Searcher::search`].
-    pub fn search_on(
-        &self,
-        start: &GlobalState<P>,
-        engine: &Engine,
-        pool: Option<&crate::pool::WorkerPool>,
-    ) -> SearchOutcome<P> {
-        match (engine, pool) {
-            (Engine::Parallel(par), Some(pool)) => self.run_parallel_pooled(start, par, pool),
-            _ => self.search(start, engine),
         }
     }
 
@@ -287,14 +264,14 @@ impl<'a, P: Protocol> Searcher<'a, P> {
         let mut arena: Vec<ArenaRec<P>> = Vec::new();
         let mut explored: HashSet<u64> = HashSet::new();
         let mut local_explored: HashSet<u64> = HashSet::new();
-        let mut frontier: FifoFrontier<P> = FifoFrontier::new();
+        let mut frontier: VecDeque<FrontierItem<P>> = VecDeque::new();
         let mut frontier_bytes = 0usize;
         let mut depth_truncated = false;
 
         explored.insert(start.state_hash());
         frontier_bytes += approx_state_bytes(start);
         stats.peak_frontier_bytes = frontier_bytes;
-        frontier.push(FrontierItem {
+        frontier.push_back(FrontierItem {
             state: start.clone(),
             rec: None,
             depth: 0,
@@ -303,7 +280,7 @@ impl<'a, P: Protocol> Searcher<'a, P> {
 
         let mut stopped = StopReason::Exhausted;
 
-        'search: while let Some(FrontierItem { state, rec, depth }) = frontier.pop() {
+        'search: while let Some(FrontierItem { state, rec, depth }) = frontier.pop_front() {
             frontier_bytes = frontier_bytes.saturating_sub(approx_state_bytes(&state));
             if let Some(deadline) = self.config.deadline {
                 if t0.elapsed() >= deadline {
@@ -381,7 +358,7 @@ impl<'a, P: Protocol> Searcher<'a, P> {
                 let child_rec = Some(arena.len() - 1);
                 frontier_bytes += approx_state_bytes(&next);
                 stats.peak_frontier_bytes = stats.peak_frontier_bytes.max(frontier_bytes);
-                frontier.push(FrontierItem {
+                frontier.push_back(FrontierItem {
                     state: next,
                     rec: child_rec,
                     depth: depth + 1,
@@ -524,10 +501,7 @@ pub fn random_walk<P: Protocol>(
     Searcher::new(protocol, props, config).random_walk(start, seed, max_walk_len)
 }
 
-pub(crate) fn reconstruct<P: Protocol>(
-    arena: &[ArenaRec<P>],
-    mut rec: Option<usize>,
-) -> Vec<PathStep<P>> {
+fn reconstruct<P: Protocol>(arena: &[ArenaRec<P>], mut rec: Option<usize>) -> Vec<PathStep<P>> {
     let mut path = Vec::new();
     while let Some(i) = rec {
         let r = &arena[i];
@@ -542,7 +516,7 @@ pub(crate) fn reconstruct<P: Protocol>(
 }
 
 /// Rough heap footprint of a global state held on the frontier.
-pub(crate) fn approx_state_bytes<P: Protocol>(gs: &GlobalState<P>) -> usize {
+fn approx_state_bytes<P: Protocol>(gs: &GlobalState<P>) -> usize {
     let per_node = size_of::<cb_model::NodeSlot<P::State>>() + 2 * size_of::<u64>();
     let conns: usize = gs.nodes.values().map(|s| s.conns.len() * 12).sum();
     size_of::<GlobalState<P>>()
@@ -847,13 +821,6 @@ mod tests {
         let props = props(2);
         let searcher = Searcher::new(&cfg, &props, quiet());
         let seq = searcher.search(&gs, &Engine::Sequential);
-        let par = searcher.search(
-            &gs,
-            &Engine::Parallel(ParallelConfig {
-                workers: 2,
-                ..ParallelConfig::default()
-            }),
-        );
         let walk = searcher.search(
             &gs,
             &Engine::RandomWalk {
@@ -861,10 +828,14 @@ mod tests {
                 max_walk_len: 20,
             },
         );
+        let direct = find_consequences(&cfg, &props, &gs, quiet());
         assert_eq!(
             seq.first().map(|v| v.scenario()),
-            par.first().map(|v| v.scenario())
+            direct.first().map(|v| v.scenario())
         );
+        assert_eq!(seq.stats.states_visited, direct.stats.states_visited);
+        let walk_direct = random_walk(&cfg, &props, &gs, quiet(), 7, 20);
+        assert_eq!(walk.stats.states_visited, walk_direct.stats.states_visited);
         assert!(!walk.is_clean());
     }
 }

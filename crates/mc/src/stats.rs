@@ -29,38 +29,6 @@ pub struct SearchStats {
     pub per_depth: Vec<usize>,
     /// Wall-clock time spent searching.
     pub elapsed: Duration,
-    /// Parallel engine only: coordinator time spent *performing* the
-    /// canonical dedup/merge on received edge batches. Now that merging
-    /// overlaps expansion, busy time must be split from wait time — a
-    /// single "merge phase" timer would double-count the coordinator's
-    /// idle waits (for the next canonical batch) as merge cost.
-    pub merge_busy: Duration,
-    /// Parallel engine only: coordinator time spent blocked waiting for
-    /// the next in-canonical-order batch (reorder-buffer stalls). Time
-    /// the coordinator spends *helping* expand is attributed to neither
-    /// counter — it is expansion work, not merge cost.
-    pub merge_wait: Duration,
-    /// Parallel engine only: number of merge shards the level-3 phase ran
-    /// with (0 when the unsharded/fused path was taken). Sharding splits
-    /// the canonical merge by explored-key range so shards dedup
-    /// concurrently; a deterministic recombine restores sequential order.
-    pub merge_shards: usize,
-    /// Parallel engine only: per-shard busy time (index = shard). The sum
-    /// equals `merge_busy`; the spread shows how evenly `shard_of` split
-    /// the key space — the scaling bench reports it as merge utilization.
-    pub merge_shard_busy: Vec<Duration>,
-    /// Parallel engine only: time spent in the sequential k-way recombine
-    /// that merges per-shard admitted edges back into canonical enqueue
-    /// order. This is the sharded design's residual serial section.
-    pub merge_recombine: Duration,
-    /// Resident bytes of the explored set at search end (open-addressing
-    /// segments plus any spill-tier block index and bloom filter).
-    pub explored_resident_bytes: usize,
-    /// Bytes of explored entries currently parked in the on-disk spill
-    /// run (0 unless `explored_spill_bytes` was set and exceeded).
-    pub explored_spilled_bytes: u64,
-    /// Number of spill-to-disk compactions the explored set performed.
-    pub explored_spills: usize,
     /// Bytes of the search tree: parent-pointer arena entries plus the
     /// explored/localExplored hash entries (what Fig. 15 plots).
     pub tree_bytes: usize,
@@ -91,7 +59,7 @@ impl SearchStats {
 
     /// Renders the run's counters as a compact JSON object via the shared
     /// [`cb_obs::json::Writer`] (durations in seconds, derived metrics
-    /// included) — the machine-readable face the scaling benches report.
+    /// included).
     pub fn to_json(&self) -> String {
         use cb_obs::json::{self, Style, Writer};
         let per_depth: Vec<String> = self.per_depth.iter().map(|n| n.to_string()).collect();
@@ -104,13 +72,6 @@ impl SearchStats {
             .field_usize("max_depth", self.max_depth)
             .field_raw("per_depth", &json::array(&per_depth))
             .field_f64("elapsed_s", self.elapsed.as_secs_f64(), 6)
-            .field_f64("merge_busy_s", self.merge_busy.as_secs_f64(), 6)
-            .field_f64("merge_wait_s", self.merge_wait.as_secs_f64(), 6)
-            .field_usize("merge_shards", self.merge_shards)
-            .field_f64("merge_recombine_s", self.merge_recombine.as_secs_f64(), 6)
-            .field_usize("explored_resident_bytes", self.explored_resident_bytes)
-            .field_u64("explored_spilled_bytes", self.explored_spilled_bytes)
-            .field_usize("explored_spills", self.explored_spills)
             .field_usize("tree_bytes", self.tree_bytes)
             .field_usize("peak_frontier_bytes", self.peak_frontier_bytes)
             .field_usize("violations_found", self.violations_found)

@@ -104,9 +104,9 @@ impl<M> Outbox<M> {
 /// between the live runtime and checker.
 ///
 /// `Send + Sync` bounds (on the configuration and every associated type)
-/// let global states cross threads: the parallel search engine in `cb-mc`
-/// fans state expansion out over a worker pool, and the asynchronous
-/// checker service runs consequence prediction on a background thread
+/// let global states cross threads: checker shards and their worker pool
+/// run searches off the submitting thread, and the asynchronous checker
+/// service runs consequence prediction on a background thread
 /// while the live system keeps executing — the deployment model of §4
 /// ("we run the model checker as a separate thread"). Handlers are pure
 /// state-machine transitions, so the bounds cost implementations nothing.

@@ -5,17 +5,16 @@
 //! CPU-intensive process will likely be scheduled on a separate core" (§4).
 //!
 //! This arrangement is now built into the controller: constructing it with
-//! `CheckerMode::Background` spawns a 1-shard `CheckerPool`, snapshots
-//! ship to it over a channel, and completed prediction rounds are drained
-//! from the controller's hook entry points while the live simulation keeps
-//! stepping. The prediction itself runs on the parallel work-stealing
-//! engine, so the "separate thread" is really a worker pool. The checker
-//! latency the paper models as `mc_latency` is *measured* here.
+//! `CheckerMode::Sharded { shards: 1 }` spawns a 1-shard `CheckerPool`,
+//! snapshots ship to it over a channel, and completed prediction rounds
+//! are drained from the controller's hook entry points while the live
+//! simulation keeps stepping. The checker latency the paper models as
+//! `mc_latency` is *measured* here.
 //!
 //! Run with: `cargo run --release --example live_thread`
 
 use crystalball_suite::core::{CheckerMode, Controller, ControllerConfig, Mode};
-use crystalball_suite::mc::{Engine, ParallelConfig, SearchConfig};
+use crystalball_suite::mc::SearchConfig;
 use crystalball_suite::model::{NodeId, SimDuration, SimTime};
 use crystalball_suite::protocols::randtree::{self, Action, RandTree, RandTreeBugs};
 use crystalball_suite::runtime::{Scenario, SimConfig, Simulation, SnapshotRuntime};
@@ -29,8 +28,7 @@ fn main() {
         randtree::properties::all(),
         ControllerConfig {
             mode: Mode::DeepOnlineDebugging,
-            checker: CheckerMode::Background,
-            engine: Engine::Parallel(ParallelConfig::default()),
+            checker: CheckerMode::Sharded { shards: 1 },
             search: SearchConfig {
                 max_states: Some(15_000),
                 max_depth: Some(7),

@@ -8,8 +8,8 @@
 //! shipping are transport changes, not semantic ones.
 //!
 //! The CI determinism matrix drives this through an env loop:
-//! `CB_EQ_WORKERS` (comma list, default `1,4`) selects the worker counts
-//! the parallel-engine leg runs at, and `CB_EQ_SEED` (default `1213`)
+//! `CB_EQ_WORKERS` (comma list, default `1,4`) selects the shared
+//! `WorkerPool` sizes the sharded leg runs on, and `CB_EQ_SEED` (default `1213`)
 //! varies the second-submission state drift each scenario exercises the
 //! diff-shipping path with.
 
@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use crystalball_suite::core::{CheckerMode, Controller, ControllerConfig, Mode};
-use crystalball_suite::mc::{Engine, ParallelConfig, SearchConfig};
+use crystalball_suite::mc::{SearchConfig, WorkerPool};
 use crystalball_suite::model::{
     apply_event, Event, ExploreOptions, GlobalState, NodeId, Protocol, SimDuration, SimTime,
 };
@@ -72,23 +72,24 @@ fn drive<P, F>(
     start: &GlobalState<P>,
     mutate: &F,
     checker: CheckerMode,
-    engine: Engine,
+    pool_threads: usize,
 ) -> Outcome
 where
     P: Protocol,
     F: Fn(&mut GlobalState<P>),
 {
-    let mut ctl = Controller::new(
+    let mut ctl = Controller::with_runtime(
         proto.clone(),
         props,
         ControllerConfig {
             mode: Mode::ExecutionSteering,
             checker,
-            engine,
             mc_latency: SimDuration::from_millis(500),
             search: search.clone(),
             ..ControllerConfig::default()
         },
+        WorkerPool::new(pool_threads),
+        None,
     );
     let nodes: Vec<NodeId> = start.nodes.keys().copied().collect();
     for (i, &node) in nodes.iter().enumerate() {
@@ -136,7 +137,7 @@ where
         &start,
         &mutate,
         CheckerMode::Synchronous,
-        Engine::Sequential,
+        1,
     );
     assert!(
         sync.predictions > 0,
@@ -150,35 +151,30 @@ where
             &start,
             &mutate,
             CheckerMode::Sharded { shards },
-            Engine::Sequential,
+            1,
         );
         assert_eq!(
             sync, sharded,
             "sharded pool ({shards} shards) diverged from the synchronous backend"
         );
     }
-    // The heaviest concurrency shape — multiple shard threads each
-    // opening replay scopes plus the streamed engine's per-job tasks and
-    // merge coordinators, all multiplexed on one shared WorkerPool —
-    // must still reproduce the sequential-synchronous outcome bit for
-    // bit, at every worker count of the matrix.
+    // Multiple shard threads each opening replay scopes, all multiplexed
+    // on one shared WorkerPool, must still reproduce the synchronous
+    // outcome bit for bit at every pool size of the matrix.
     for workers in cb_bench::matrix::workers() {
-        let sharded_parallel = drive(
+        let sharded_pooled = drive(
             &proto,
             props(),
             &search,
             &start,
             &mutate,
             CheckerMode::Sharded { shards: 2 },
-            Engine::Parallel(ParallelConfig {
-                workers,
-                ..ParallelConfig::default()
-            }),
+            workers,
         );
         assert_eq!(
-            sync, sharded_parallel,
-            "sharded pool + parallel engine ({workers} workers) diverged \
-             from the synchronous backend"
+            sync, sharded_pooled,
+            "sharded pool on {workers} pool threads diverged from the \
+             synchronous backend"
         );
     }
     sync

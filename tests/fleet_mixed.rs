@@ -12,17 +12,17 @@
 //!   (the prediction lands before the member's live state ever violates)
 //!   and steering turns predictions into installed filters — on both the
 //!   synchronous and the sharded background checker backends;
-//! * the whole run is **byte-identical** across parallel-engine worker
-//!   counts for a fixed seed: same fleet trace, same deterministic
-//!   `FleetStats` JSON (`CB_EQ_WORKERS` drives the matrix legs, as for
-//!   the other determinism suites).
+//! * the whole run is **byte-identical** across shared worker-pool sizes
+//!   for a fixed seed: same fleet trace, same deterministic `FleetStats`
+//!   JSON (`CB_EQ_WORKERS` drives the matrix legs, as for the other
+//!   determinism suites).
 
 use crystalball_suite::core::{CheckerMode, ControllerConfig, Mode};
 use crystalball_suite::fleet::{
     bullet_member, paxos_member, randtree_member, FaultConfig, FaultPlan, Fleet, FleetConfig,
     FleetStats, MemberCommon,
 };
-use crystalball_suite::mc::{Engine, ParallelConfig, SearchConfig};
+use crystalball_suite::mc::SearchConfig;
 use crystalball_suite::model::{ExploreOptions, SimDuration};
 use crystalball_suite::protocols::bullet::BulletBugs;
 use crystalball_suite::protocols::paxos::PaxosBugs;
@@ -30,20 +30,8 @@ use crystalball_suite::protocols::randtree::RandTreeBugs;
 
 const HORIZON_SECS: u64 = 80;
 
-fn engine(workers: usize) -> Engine {
-    if workers <= 1 {
-        Engine::Sequential
-    } else {
-        Engine::Parallel(ParallelConfig {
-            workers,
-            ..ParallelConfig::default()
-        })
-    }
-}
-
 fn controller(
     checker: CheckerMode,
-    workers: usize,
     max_states: usize,
     depth: usize,
     minimal: bool,
@@ -51,7 +39,6 @@ fn controller(
     ControllerConfig {
         mode: Mode::ExecutionSteering,
         checker,
-        engine: engine(workers),
         mc_latency: SimDuration::from_millis(500),
         search: SearchConfig {
             max_states: Some(max_states),
@@ -69,14 +56,14 @@ fn controller(
 
 /// Builds and runs the three-protocol fleet; returns the trace bytes, the
 /// deterministic JSON, and the stats.
-fn run_fleet(checker: CheckerMode, workers: usize, seed: u64) -> (String, String, FleetStats) {
+fn run_fleet(checker: CheckerMode, pool_threads: usize, seed: u64) -> (String, String, FleetStats) {
     let horizon = SimDuration::from_secs(HORIZON_SECS);
     let mut fleet = Fleet::new(FleetConfig {
         seed,
         duration: horizon,
         drain_interval: SimDuration::from_secs(5),
         checker_lanes: 2,
-        pool_threads: workers.max(2) - 1,
+        pool_threads,
     });
     let rt = fleet.runtime().clone();
     fleet.add_member(randtree_member(
@@ -84,7 +71,7 @@ fn run_fleet(checker: CheckerMode, workers: usize, seed: u64) -> (String, String
         MemberCommon::steering(
             "randtree-overlay",
             seed ^ 0xa1,
-            controller(checker, workers, 8_000, 6, false),
+            controller(checker, 8_000, 6, false),
         ),
         6,
         RandTreeBugs::only("R1"),
@@ -96,7 +83,7 @@ fn run_fleet(checker: CheckerMode, workers: usize, seed: u64) -> (String, String
         MemberCommon::steering(
             "paxos-group",
             seed ^ 0xb2,
-            controller(checker, workers, 12_000, 12, true),
+            controller(checker, 12_000, 12, true),
         ),
         PaxosBugs::only("P2"),
         2,
@@ -107,7 +94,7 @@ fn run_fleet(checker: CheckerMode, workers: usize, seed: u64) -> (String, String
         MemberCommon::steering(
             "bullet-mesh",
             seed ^ 0xc3,
-            controller(checker, workers, 8_000, 6, true),
+            controller(checker, 8_000, 6, true),
         ),
         5,
         30,
@@ -201,7 +188,7 @@ fn mixed_fleet_predicts_and_steers_on_sharded_backend() {
 }
 
 /// The determinism contract: same `(construction, seed)` ⇒ byte-identical
-/// fleet trace and deterministic stats, across every worker count of the
+/// fleet trace and deterministic stats, across every pool size of the
 /// CI matrix leg (`CB_EQ_WORKERS`), on both checker backends.
 #[test]
 fn fleet_trace_byte_identical_across_worker_counts() {

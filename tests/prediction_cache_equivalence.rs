@@ -1,8 +1,8 @@
 //! Memoization must be invisible: a controller with the prediction cache
 //! enabled has to produce exactly the same predicted violations,
 //! installed filters, and counters as one running every round cold — on
-//! RandTree and Paxos, across the synchronous, background, and sharded
-//! backends, at every worker count of the CI matrix — while actually
+//! RandTree and Paxos, across the synchronous and sharded backends, at
+//! every worker-pool size of the CI matrix — while actually
 //! hitting the cache (repeated submissions of a settled state must
 //! memoize).
 //!
@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use crystalball_suite::core::{CacheStats, CheckerMode, Controller, ControllerConfig, Mode};
-use crystalball_suite::mc::{Engine, ParallelConfig, SearchConfig};
+use crystalball_suite::mc::{SearchConfig, WorkerPool};
 use crystalball_suite::model::{
     apply_event, Event, ExploreOptions, GlobalState, NodeId, Protocol, SimDuration, SimTime,
 };
@@ -62,22 +62,23 @@ fn controller<P: Protocol>(
     props: crystalball_suite::model::PropertySet<P>,
     search: &SearchConfig,
     checker: CheckerMode,
-    engine: Engine,
+    pool_threads: usize,
     cache: bool,
 ) -> Controller<P> {
-    Controller::new(
+    Controller::with_runtime(
         proto.clone(),
         props,
         ControllerConfig {
             mode: Mode::ExecutionSteering,
             checker,
-            engine,
             mc_latency: SimDuration::from_millis(500),
             search: search.clone(),
             // Explicit, so the test ignores the CB_PRED_CACHE env default.
             prediction_cache: cache,
             ..ControllerConfig::default()
         },
+        WorkerPool::new(pool_threads),
+        None,
     )
 }
 
@@ -93,14 +94,14 @@ fn drive<P, F>(
     start: &GlobalState<P>,
     mutate: &F,
     checker: CheckerMode,
-    engine: Engine,
+    pool_threads: usize,
     cache: bool,
 ) -> (Outcome, CacheStats)
 where
     P: Protocol,
     F: Fn(&mut GlobalState<P>),
 {
-    let mut ctl = controller(proto, props, search, checker, engine, cache);
+    let mut ctl = controller(proto, props, search, checker, pool_threads, cache);
     let nodes: Vec<NodeId> = start.nodes.keys().copied().collect();
     let mut t = 0u64;
     for _ in 0..3 {
@@ -133,22 +134,16 @@ fn assert_cache_invisible<P, F>(
     F: Fn(&mut GlobalState<P>),
 {
     let mut backends = vec![
-        (CheckerMode::Synchronous, Engine::Sequential),
-        (CheckerMode::Background, Engine::Sequential),
-        (CheckerMode::Sharded { shards: 2 }, Engine::Sequential),
-        (CheckerMode::Sharded { shards: 4 }, Engine::Sequential),
+        (CheckerMode::Synchronous, 1),
+        (CheckerMode::Sharded { shards: 1 }, 1),
+        (CheckerMode::Sharded { shards: 2 }, 1),
+        (CheckerMode::Sharded { shards: 4 }, 1),
     ];
     for workers in cb_bench::matrix::workers() {
-        backends.push((
-            CheckerMode::Sharded { shards: 2 },
-            Engine::Parallel(ParallelConfig {
-                workers,
-                ..ParallelConfig::default()
-            }),
-        ));
+        backends.push((CheckerMode::Sharded { shards: 2 }, workers));
     }
     let mut reference: Option<Outcome> = None;
-    for (checker, engine) in backends {
+    for (checker, pool_threads) in backends {
         let (cold, cold_cs) = drive(
             &proto,
             props(),
@@ -156,7 +151,7 @@ fn assert_cache_invisible<P, F>(
             &start,
             &mutate,
             checker,
-            engine.clone(),
+            pool_threads,
             false,
         );
         let (warm, warm_cs) = drive(
@@ -166,7 +161,7 @@ fn assert_cache_invisible<P, F>(
             &start,
             &mutate,
             checker,
-            engine.clone(),
+            pool_threads,
             true,
         );
         assert!(
@@ -175,7 +170,7 @@ fn assert_cache_invisible<P, F>(
         );
         assert_eq!(
             cold, warm,
-            "memoized run diverged from cold on {checker:?}/{engine:?}"
+            "memoized run diverged from cold on {checker:?}/{pool_threads} pool threads"
         );
         assert_eq!(
             cold_cs,
@@ -184,12 +179,12 @@ fn assert_cache_invisible<P, F>(
         );
         assert!(
             warm_cs.hits > 0,
-            "repeated submissions must memoize on {checker:?}/{engine:?}: {warm_cs:?}"
+            "repeated submissions must memoize on {checker:?}/{pool_threads} pool threads: {warm_cs:?}"
         );
         match &reference {
             Some(r) => assert_eq!(
                 r, &cold,
-                "backend {checker:?}/{engine:?} diverged from the synchronous outcome"
+                "backend {checker:?}/{pool_threads} pool threads diverged from the synchronous outcome"
             ),
             None => reference = Some(cold),
         }
@@ -251,7 +246,7 @@ fn speculation_commits_when_snapshot_matches() {
         randtree::properties::all(),
         &search,
         CheckerMode::Synchronous,
-        Engine::Sequential,
+        1,
         true,
     );
     plain.run_round(SimTime(1), node, &gs);
@@ -261,7 +256,7 @@ fn speculation_commits_when_snapshot_matches() {
         randtree::properties::all(),
         &search,
         CheckerMode::Synchronous,
-        Engine::Sequential,
+        1,
         true,
     );
     spec.speculate_round(SimTime(0), node, &gs);
@@ -302,7 +297,7 @@ fn speculation_cancels_when_snapshot_differs() {
         randtree::properties::all(),
         &search,
         CheckerMode::Synchronous,
-        Engine::Sequential,
+        1,
         true,
     );
     plain.run_round(SimTime(1), node, &gs);
@@ -312,7 +307,7 @@ fn speculation_cancels_when_snapshot_differs() {
         randtree::properties::all(),
         &search,
         CheckerMode::Synchronous,
-        Engine::Sequential,
+        1,
         true,
     );
     spec.speculate_round(SimTime(0), node, &partial);
@@ -353,7 +348,7 @@ fn speculation_is_outcome_invisible_on_sharded_pool() {
         randtree::properties::all(),
         &search,
         CheckerMode::Sharded { shards: 2 },
-        Engine::Sequential,
+        1,
         true,
     );
     for (i, &n) in nodes.iter().enumerate() {
@@ -366,7 +361,7 @@ fn speculation_is_outcome_invisible_on_sharded_pool() {
         randtree::properties::all(),
         &search,
         CheckerMode::Sharded { shards: 2 },
-        Engine::Sequential,
+        1,
         true,
     );
     for (i, &n) in nodes.iter().enumerate() {

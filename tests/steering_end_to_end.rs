@@ -3,7 +3,7 @@
 //! structure of §5.4.
 
 use crystalball_suite::core::{CheckerMode, Controller, ControllerConfig, Mode};
-use crystalball_suite::mc::{Engine, ParallelConfig, SearchConfig};
+use crystalball_suite::mc::SearchConfig;
 use crystalball_suite::model::{NodeId, PropertySet, SimDuration};
 use crystalball_suite::protocols::randtree::{self, RandTree, RandTreeBugs};
 use crystalball_suite::runtime::{
@@ -100,11 +100,7 @@ fn async_checker_service_steers_without_blocking_the_system() {
         randtree::properties::all(),
         ControllerConfig {
             mode: Mode::ExecutionSteering,
-            checker: CheckerMode::Background,
-            engine: Engine::Parallel(ParallelConfig {
-                workers: 4,
-                ..ParallelConfig::default()
-            }),
+            checker: CheckerMode::Sharded { shards: 1 },
             search: SearchConfig {
                 max_states: Some(8_000),
                 max_depth: Some(6),
@@ -140,7 +136,7 @@ fn async_checker_service_steers_without_blocking_the_system() {
         "CrystalBall intervened: {:?}",
         ctl.stats
     );
-    // No trajectory comparison here: in Background mode filter
+    // No trajectory comparison here: in background mode filter
     // activation times depend on wall-clock checker completion, so the
     // steered run's violation count is machine/load-dependent. The
     // deterministic synchronous tests own the "steering reduces

@@ -1,8 +1,8 @@
 //! The observability layer must be outcome-invisible: enabling the
 //! `cb-obs` recorder may not change a single deterministic byte of any
 //! checking surface. Each leg here reruns an existing equivalence
-//! scenario — the parallel model-checker fingerprint
-//! (`parallel_equivalence`), a memoized controller's outcome
+//! scenario — the model-checker fingerprint
+//! (`search_golden`), a memoized controller's outcome
 //! (`prediction_cache_equivalence`), and the mixed fleet's deterministic
 //! JSON (`fleet_mixed`) — once with tracing off and once with the
 //! recorder enabled, and compares the results exactly.
@@ -25,15 +25,15 @@ use crystalball_suite::fleet::{
     bullet_member, paxos_member, randtree_member, FaultConfig, FaultPlan, Fleet, FleetConfig,
     MemberCommon,
 };
-use crystalball_suite::mc::{find_consequences_parallel, Engine, ParallelConfig, SearchConfig};
+use crystalball_suite::mc::{find_consequences, SearchConfig};
 use crystalball_suite::model::{ExploreOptions, SimDuration, SimTime};
 use crystalball_suite::obs;
 use crystalball_suite::protocols::bullet::BulletBugs;
 use crystalball_suite::protocols::paxos::PaxosBugs;
 use crystalball_suite::protocols::randtree::{self, RandTreeBugs};
 
-/// Parallel consequence prediction over the Fig. 2 state: the
-/// `parallel_equivalence` fingerprint (violations + visit counts).
+/// Consequence prediction over the Fig. 2 state: the `search_golden`
+/// fingerprint (violations + visit counts).
 fn mc_leg() -> (Vec<String>, Vec<usize>, usize, usize) {
     let (proto, gs) = randtree_fig2(RandTreeBugs::only("R1"));
     let props = randtree::properties::all();
@@ -43,12 +43,7 @@ fn mc_leg() -> (Vec<String>, Vec<usize>, usize, usize) {
         max_violations: 3,
         ..SearchConfig::default()
     };
-    let par = ParallelConfig {
-        workers: 2,
-        merge_shards: 2,
-        ..ParallelConfig::default()
-    };
-    let out = find_consequences_parallel(&proto, &props, &gs, config, &par);
+    let out = find_consequences(&proto, &props, &gs, config);
     (
         out.violations.iter().map(|v| v.scenario()).collect(),
         out.violations.iter().map(|v| v.depth).collect(),
@@ -70,10 +65,6 @@ fn cache_leg() -> (ReportSet, BTreeSet<(u32, String)>, u64, u64) {
         ControllerConfig {
             mode: Mode::ExecutionSteering,
             checker: CheckerMode::Sharded { shards: 2 },
-            engine: Engine::Parallel(ParallelConfig {
-                workers: 2,
-                ..ParallelConfig::default()
-            }),
             mc_latency: SimDuration::from_millis(500),
             search: SearchConfig {
                 max_states: Some(6_000),
@@ -123,10 +114,6 @@ fn fleet_leg() -> String {
     let controller = |max_states: usize, depth: usize, minimal: bool| ControllerConfig {
         mode: Mode::ExecutionSteering,
         checker: CheckerMode::Sharded { shards: 2 },
-        engine: Engine::Parallel(ParallelConfig {
-            workers: 2,
-            ..ParallelConfig::default()
-        }),
         mc_latency: SimDuration::from_millis(500),
         search: SearchConfig {
             max_states: Some(max_states),
@@ -218,10 +205,7 @@ fn tracing_is_outcome_invisible() {
         "fleet drain boundaries missing from the trace"
     );
 
-    assert_eq!(
-        mc_off, mc_on,
-        "parallel search fingerprint changed under tracing"
-    );
+    assert_eq!(mc_off, mc_on, "search fingerprint changed under tracing");
     assert_eq!(
         cache_off, cache_on,
         "memoized controller outcome changed under tracing"
@@ -248,7 +232,7 @@ fn tracing_is_outcome_invisible() {
 
     assert_eq!(
         mc_off, mc_metrics,
-        "parallel search fingerprint changed under metrics"
+        "search fingerprint changed under metrics"
     );
     assert_eq!(
         cache_off, cache_metrics,
